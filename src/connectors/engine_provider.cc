@@ -101,7 +101,8 @@ class EngineCommand : public Command {
   Result<std::unique_ptr<Rowset>> Execute() override {
     DHQP_ASSIGN_OR_RETURN(QueryResult result, engine_->Execute(text_, params_));
     if (result.rowset == nullptr) {
-      return std::unique_ptr<Rowset>(new VectorRowset(Schema{}, {}));
+      return std::unique_ptr<Rowset>(
+          new VectorRowset(Schema{}, std::vector<Row>{}));
     }
     return std::unique_ptr<Rowset>(result.rowset.release());
   }

@@ -67,18 +67,30 @@ void AddOpGrant(const PhysicalOp& op, const ExecOptions& exec,
                 int64_t* total) {
   switch (op.kind) {
     case PhysicalOpKind::kHashJoin: {
-      // Build side (the right child) is fully resident: rows plus the key
-      // copies the hash table stores alongside them. Parallel instances
-      // partition the same build rows, so dop does not scale the total.
+      // Build side (the right child) is fully resident. Per build row the
+      // join charges the row plus the key copy stored beside it
+      // (RowMemBytes(row) + RowMemBytes(key)). A hash-partitioned build is
+      // split across the parallel instances, so dop does not scale it; a
+      // serial build child under a parallel join is replicated — every one
+      // of the op.dop instances builds the whole table.
       const PhysicalOp& build = *op.children[1];
       const double rows = std::max(1.0, build.estimated_rows);
+      const double copies = build.dop <= 1 ? std::max(1, op.dop) : 1;
+      std::vector<DataType> key_types;
+      for (const auto& [probe_key, build_key] : op.key_pairs) {
+        key_types.push_back(build_key->type);
+      }
       *total += static_cast<int64_t>(
-          rows * static_cast<double>(EstRowBytes(build.output_types) + 48));
+          rows * copies *
+          static_cast<double>(EstRowBytes(build.output_types) +
+                              EstRowBytes(key_types)));
       break;
     }
     case PhysicalOpKind::kHashAggregate: {
-      // One entry per output group; instances under a repartition exchange
-      // hold disjoint groups, so again no dop scaling.
+      // One entry per output group. A partial aggregate's estimated rows
+      // already count a group once per worker that holds it; instances
+      // under a repartition exchange hold disjoint groups. Either way the
+      // estimate needs no further dop scaling.
       const double groups = std::max(1.0, op.estimated_rows);
       const int64_t accs =
           kAccumulatorBytes *
@@ -107,7 +119,7 @@ void AddOpGrant(const PhysicalOp& op, const ExecOptions& exec,
     }
     case PhysicalOpKind::kExchange: {
       // Queue stash: depth batches of exec_batch_rows rows per partition
-      // stream — the one footprint that scales with dop.
+      // stream.
       const int64_t streams = std::max(1, op.dop);
       const int64_t batch_rows = std::max(1, exec.exec_batch_rows);
       *total += streams * kExchangeQueueDepth * batch_rows *

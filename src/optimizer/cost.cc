@@ -112,4 +112,12 @@ double LocalCost(const PhysicalOp& op, const CostParams& p) {
   return out;
 }
 
+double ReplicatedCost(const PhysicalOp& op, const CostParams& p) {
+  if (op.kind != PhysicalOpKind::kHashJoin || op.dop <= 1 ||
+      op.children[1]->dop > 1) {
+    return 0.0;
+  }
+  return ChildRows(op, 1) * p.hash_build_row;
+}
+
 }  // namespace dhqp

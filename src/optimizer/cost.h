@@ -43,6 +43,11 @@ struct CostParams {
 /// with estimated_rows/estimated_cost. `op.estimated_rows` must be set.
 double LocalCost(const PhysicalOp& op, const CostParams& params);
 
+/// The part of LocalCost(op) that every one of op's dop instances pays in
+/// full rather than a 1/dop share of: the hash table a parallel hash join
+/// builds from a serial (replicated) build child. Zero for everything else.
+double ReplicatedCost(const PhysicalOp& op, const CostParams& params);
+
 }  // namespace dhqp
 
 #endif  // DHQP_OPTIMIZER_COST_H_

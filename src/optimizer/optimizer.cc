@@ -265,7 +265,7 @@ Result<Winner> Optimizer::OptimizeGroup(int gid,
 
   {
     Group& g = memo_.group(gid);
-    auto it = g.winners.find(required.Fingerprint());
+    auto it = g.winners.find(WinnerKey(required));
     if (it != g.winners.end() && it->second.valid) return it->second;
 
     // Static pruning (§4.1.5): a contradicted group reduces to an empty
@@ -277,7 +277,7 @@ Result<Winner> Optimizer::OptimizeGroup(int gid,
       op->sort_keys = required.sort;  // Vacuously ordered.
       CostNode(op);
       Winner w{op, op->estimated_cost, true};
-      g.winners[required.Fingerprint()] = w;
+      g.winners[WinnerKey(required)] = w;
       return w;
     }
   }
@@ -323,13 +323,13 @@ Result<Winner> Optimizer::OptimizeGroup(int gid,
         "optimizer: no physical plan for group rooted at " +
         memo_.group(gid).exprs.front().op->LocalFingerprint());
   }
-  memo_.group(gid).winners[required.Fingerprint()] = best;
+  memo_.group(gid).winners[WinnerKey(required)] = best;
 
   // The parallelism enforcer: a serial requirement may be answered by
   // Gather over a parallel subplan; cheaper alternative replaces the
   // cached winner.
   DHQP_RETURN_NOT_OK(TryParallelPlan(gid, required, &best));
-  memo_.group(gid).winners[required.Fingerprint()] = best;
+  memo_.group(gid).winners[WinnerKey(required)] = best;
   return best;
 }
 
@@ -366,9 +366,11 @@ void Optimizer::CostNode(PhysicalOpBuilder& op) {
   double local = LocalCost(*op, costs_);
   // Parallel instances divide the operator's work across dop streams; the
   // exchange itself is excluded — the transfer is the serialization point
-  // and its LocalCost already models both sides.
+  // and its LocalCost already models both sides. Work every instance
+  // repeats (a replicated hash-join build) is not divided.
   if (op->dop > 1 && op->kind != PhysicalOpKind::kExchange) {
-    local /= op->dop;
+    const double whole = ReplicatedCost(*op, costs_);
+    local = (local - whole) / op->dop + whole;
   }
   double cost = local;
   for (const PhysicalOpPtr& c : op->children) cost += c->estimated_cost;
@@ -739,6 +741,44 @@ Status Optimizer::ImplementParallel(int gid, const GroupExpr& expr,
                          memo_.group(right_gid).props.output_cols, &pairs,
                          &residual);
       if (pairs.empty()) return Status::OK();
+      auto consider_join = [&](const PhysicalOpPtr& probe,
+                               const PhysicalOpPtr& build,
+                               std::vector<int> partition_cols) {
+        auto op = NewPhysicalOp(PhysicalOpKind::kHashJoin);
+        op->join_type = join.join_type;
+        op->key_pairs = pairs;
+        op->predicate = MergeConjuncts(residual);
+        op->dop = dop;
+        op->children.push_back(probe);
+        op->children.push_back(build);
+        op->partition_cols = std::move(partition_cols);
+        std::vector<int> cols = probe->output_cols;
+        if (join.join_type != JoinType::kSemi &&
+            join.join_type != JoinType::kAnti) {
+          cols.insert(cols.end(), build->output_cols.begin(),
+                      build->output_cols.end());
+        }
+        op->estimated_rows = memo_.group(gid).props.cardinality;
+        AnnotateColumns(op, cols);
+        Consider(op, gid, required, best);
+      };
+      // Replicated-build hash join (a broadcast without an exchange): the
+      // probe side keeps whatever partitioning it has, and every worker
+      // runs the whole build side — a serial, exchange-free subtree, whose
+      // scans read the full table inside a fragment. Every join type here
+      // (inner, left outer, semi, anti) emits build rows only next to a
+      // probe row, so each output row appears in exactly one worker. The
+      // probe's partitioning survives: every left column is in the output.
+      {
+        PhysicalProps probe_req;
+        probe_req.dop = dop;
+        auto probe = OptimizeGroup(left_gid, probe_req);
+        auto build = OptimizeExchangeFree(right_gid);
+        if (probe.ok() && build.ok() && ParallelSafe(build->plan)) {
+          consider_join(probe->plan, build->plan,
+                        probe->plan->partition_cols);
+        }
+      }
       // Hash-aligned partitioned hash join: both inputs repartitioned on
       // the (column-only, same-type) equi keys, so every key group is
       // complete within one partition-local build/probe table. Same-type
@@ -756,39 +796,18 @@ Status Optimizer::ImplementParallel(int gid, const GroupExpr& expr,
       auto left = OptimizeGroup(left_gid, lreq);
       auto right = OptimizeGroup(right_gid, rreq);
       if (left.ok() && right.ok()) {
-        auto op = NewPhysicalOp(PhysicalOpKind::kHashJoin);
-        op->join_type = join.join_type;
-        op->key_pairs = pairs;
-        op->predicate = MergeConjuncts(residual);
-        op->dop = dop;
-        op->children.push_back(left->plan);
-        op->children.push_back(right->plan);
-        // Output rows carry genuine left-key values (hence the left-key
-        // partitioning) for every type whose output preserves left rows.
-        if (join.join_type == JoinType::kInner ||
-            join.join_type == JoinType::kLeftOuter ||
-            join.join_type == JoinType::kSemi ||
-            join.join_type == JoinType::kAnti) {
-          op->partition_cols = lreq.partition_cols;
-        }
-        std::vector<int> cols = op->children[0]->output_cols;
-        if (join.join_type != JoinType::kSemi &&
-            join.join_type != JoinType::kAnti) {
-          cols.insert(cols.end(), op->children[1]->output_cols.begin(),
-                      op->children[1]->output_cols.end());
-        }
-        op->estimated_rows = memo_.group(gid).props.cardinality;
-        AnnotateColumns(op, cols);
-        Consider(op, gid, required, best);
+        // Output rows carry genuine left-key values, hence the left-key
+        // partitioning (every join type here preserves left rows).
+        consider_join(left->plan, right->plan, lreq.partition_cols);
       }
       return Status::OK();
     }
     case LogicalOpKind::kAggregate: {
       const LogicalOp& agg = *expr.op;
-      // Scalar aggregates need a global merge; they stay serial. Grouped
-      // hash aggregation partitioned on the full group-by key set sees
-      // complete groups per partition — the gather above is the merge
-      // phase, a pure concatenation of disjoint partial results.
+      // Grouped hash aggregation partitioned on the full group-by key set
+      // sees complete groups per partition — the gather above is a pure
+      // concatenation of disjoint results. Scalar aggregates need a global
+      // merge: the local/global split (TrySplitAggregate) provides it.
       if (agg.group_by.empty()) return Status::OK();
       PhysicalProps child_req;
       child_req.dop = dop;
@@ -814,7 +833,7 @@ Status Optimizer::ImplementParallel(int gid, const GroupExpr& expr,
 Status Optimizer::TryParallelPlan(int gid, const PhysicalProps& required,
                                   Winner* best) {
   int dop = ctx_->options().max_dop;
-  if (dop <= 1 || required.dop != 1) return Status::OK();
+  if (dop <= 1 || required.dop != 1 || serial_only_) return Status::OK();
   // An ordering requirement never crosses a gather: arrival order is
   // nondeterministic, and re-sorting above it is only equivalent when the
   // group's RESULT is order-independent — which a Top inside the group
@@ -832,16 +851,94 @@ Status Optimizer::TryParallelPlan(int gid, const PhysicalProps& required,
   PhysicalProps preq;
   preq.dop = dop;
   auto par = OptimizeGroup(gid, preq);
-  if (!par.ok()) return Status::OK();  // No parallel implementation.
-  if (!ParallelSafe(par->plan)) return Status::OK();
+  if (par.ok() && ParallelSafe(par->plan)) {
+    Consider(MakeGather(par->plan), gid, required, best);
+  }
+  size_t n = memo_.group(gid).exprs.size();
+  for (size_t i = 0; i < n; ++i) {
+    GroupExpr expr = memo_.group(gid).exprs[i];  // Copy: vector may grow.
+    if (expr.op->kind == LogicalOpKind::kAggregate) {
+      TrySplitAggregate(gid, expr, dop, required, best);
+    }
+  }
+  return Status::OK();
+}
+
+PhysicalOpBuilder Optimizer::MakeGather(const PhysicalOpPtr& parallel) {
   auto gather = NewPhysicalOp(PhysicalOpKind::kExchange);
   gather->exchange = ExchangeKind::kGather;
   gather->dop = 1;
-  gather->children.push_back(par->plan);
-  gather->estimated_rows = par->plan->estimated_rows;
-  AnnotateColumns(gather, par->plan->output_cols);
-  Consider(gather, gid, required, best);
-  return Status::OK();
+  gather->children.push_back(parallel);
+  gather->estimated_rows = parallel->estimated_rows;
+  AnnotateColumns(gather, parallel->output_cols);
+  return gather;
+}
+
+void Optimizer::TrySplitAggregate(int gid, const GroupExpr& expr, int dop,
+                                  const PhysicalProps& required,
+                                  Winner* best) {
+  const LogicalOp& agg = *expr.op;
+  // Decomposable aggregates only: DISTINCT needs every value of a group in
+  // one place, and AVG's state is a (sum, count) pair no one column holds.
+  for (const AggregateItem& item : agg.aggregates) {
+    if (item.distinct || item.func == "AVG") return;
+  }
+  // Each partial state gets a fresh column id; the final aggregate reads
+  // it back as its argument.
+  std::vector<int> state_cols;
+  std::vector<AggregateItem> partial_items = agg.aggregates;
+  std::vector<AggregateItem> final_items = agg.aggregates;
+  for (size_t i = 0; i < agg.aggregates.size(); ++i) {
+    const std::string name = "partial_" + ToLowerCopy(agg.aggregates[i].func);
+    const DataType type = agg.aggregates[i].type;
+    state_cols.push_back(ctx_->registry()->Add("", name, type));
+    partial_items[i].output_col = state_cols.back();
+    AggregateItem& merge = final_items[i];
+    if (merge.func == "COUNT" || merge.func == "COUNT*") merge.func = "SUM";
+    merge.arg = MakeColumn(state_cols.back(), type, name);
+  }
+  PhysicalProps child_req;
+  child_req.dop = dop;
+  auto child = OptimizeGroup(expr.children[0], child_req);
+  if (!child.ok() || !ParallelSafe(child->plan)) return;
+  const PhysicalOpKind kind = agg.group_by.empty()
+                                  ? PhysicalOpKind::kStreamAggregate
+                                  : PhysicalOpKind::kHashAggregate;
+  auto partial = NewPhysicalOp(kind);
+  partial->group_by = agg.group_by;
+  partial->aggregates = std::move(partial_items);
+  partial->agg_phase = AggPhase::kPartial;
+  partial->dop = dop;
+  partial->children.push_back(child->plan);
+  std::vector<int> cols = agg.group_by;
+  cols.insert(cols.end(), state_cols.begin(), state_cols.end());
+  AnnotateColumns(partial, cols);
+  // At most one state row per group per worker.
+  partial->estimated_rows =
+      std::min(child->plan->estimated_rows,
+               std::max(memo_.group(gid).props.cardinality, 1.0) * dop);
+  CostNode(partial);
+  auto gather = MakeGather(partial);
+  CostNode(gather);
+  auto final_agg = NewPhysicalOp(kind);
+  final_agg->group_by = agg.group_by;
+  final_agg->aggregates = std::move(final_items);
+  final_agg->agg_phase = AggPhase::kFinal;
+  final_agg->children.push_back(gather);
+  AnnotateFromGroup(final_agg, gid);
+  Consider(final_agg, gid, required, best);
+}
+
+Result<Winner> Optimizer::OptimizeExchangeFree(int gid) {
+  const bool saved = serial_only_;
+  serial_only_ = true;
+  auto winner = OptimizeGroup(gid, PhysicalProps{});
+  serial_only_ = saved;
+  return winner;
+}
+
+std::string Optimizer::WinnerKey(const PhysicalProps& required) const {
+  return serial_only_ ? required.Fingerprint() + "|S" : required.Fingerprint();
 }
 
 Status Optimizer::ImplementGet(int gid, const GroupExpr& expr,

@@ -115,6 +115,11 @@ std::string PhysicalOp::Describe() const {
     case PhysicalOpKind::kTop:
       out += "(" + std::to_string(limit) + ")";
       break;
+    case PhysicalOpKind::kHashAggregate:
+    case PhysicalOpKind::kStreamAggregate:
+      if (agg_phase == AggPhase::kPartial) out += "(partial)";
+      if (agg_phase == AggPhase::kFinal) out += "(final)";
+      break;
     case PhysicalOpKind::kRemoteQuery:
       out += "(@" + table.server_name + ": " + remote_sql + ")";
       break;

@@ -58,6 +58,13 @@ enum class ExchangeKind {
 
 const char* ExchangeKindName(ExchangeKind kind);
 
+/// Which half of a split (local/global) aggregation an aggregate operator
+/// computes. A kPartial instance runs on every worker over an arbitrarily
+/// partitioned input and emits one state row per group it saw; kFinal
+/// merges those rows after a Gather (COUNT states merge by SUM, SUM/MIN/MAX
+/// by themselves). kComplete is the ordinary one-phase aggregate.
+enum class AggPhase { kComplete, kPartial, kFinal };
+
 struct PhysicalOp;
 using PhysicalOpPtr = std::shared_ptr<const PhysicalOp>;
 
@@ -106,6 +113,7 @@ struct PhysicalOp {
   // Aggregates.
   std::vector<int> group_by;
   std::vector<AggregateItem> aggregates;
+  AggPhase agg_phase = AggPhase::kComplete;
 
   // kSort (and delivered order of any operator).
   std::vector<std::pair<int, bool>> sort_keys;  ///< (column id, ascending).

@@ -65,27 +65,34 @@ class Rowset {
 };
 
 /// A rowset fully materialized in memory. Supports Restart. Also the
-/// building block for metadata rowsets and spools.
+/// building block for metadata rowsets and spools. The rows may be shared
+/// with other readers (a table's live-row snapshot): the rowset is only a
+/// position over them, so opening one copies nothing until rows are handed
+/// out.
 class VectorRowset : public Rowset {
  public:
   VectorRowset(Schema schema, std::vector<Row> rows)
+      : schema_(std::move(schema)),
+        rows_(std::make_shared<const std::vector<Row>>(std::move(rows))) {}
+
+  VectorRowset(Schema schema, std::shared_ptr<const std::vector<Row>> rows)
       : schema_(std::move(schema)), rows_(std::move(rows)) {}
 
   const Schema& schema() const override { return schema_; }
 
   Result<bool> Next(Row* out) override {
-    if (pos_ >= rows_.size()) return false;
-    *out = rows_[pos_++];
+    if (pos_ >= rows_->size()) return false;
+    *out = (*rows_)[pos_++];
     return true;
   }
 
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     out->clear();
-    if (pos_ >= rows_.size() || max_rows <= 0) return false;
-    size_t n = rows_.size() - pos_;
+    if (pos_ >= rows_->size() || max_rows <= 0) return false;
+    size_t n = rows_->size() - pos_;
     if (n > static_cast<size_t>(max_rows)) n = static_cast<size_t>(max_rows);
-    out->rows.assign(rows_.begin() + static_cast<ptrdiff_t>(pos_),
-                     rows_.begin() + static_cast<ptrdiff_t>(pos_ + n));
+    out->rows.assign(rows_->begin() + static_cast<ptrdiff_t>(pos_),
+                     rows_->begin() + static_cast<ptrdiff_t>(pos_ + n));
     pos_ += n;
     return true;
   }
@@ -96,18 +103,18 @@ class VectorRowset : public Rowset {
   }
 
   Result<int64_t> SkipRows(int64_t n) override {
-    if (n <= 0 || pos_ >= rows_.size()) return static_cast<int64_t>(0);
-    int64_t remaining = static_cast<int64_t>(rows_.size() - pos_);
+    if (n <= 0 || pos_ >= rows_->size()) return static_cast<int64_t>(0);
+    int64_t remaining = static_cast<int64_t>(rows_->size() - pos_);
     int64_t skipped = n < remaining ? n : remaining;
     pos_ += static_cast<size_t>(skipped);
     return skipped;
   }
 
-  const std::vector<Row>& rows() const { return rows_; }
+  const std::vector<Row>& rows() const { return *rows_; }
 
  private:
   Schema schema_;
-  std::vector<Row> rows_;
+  std::shared_ptr<const std::vector<Row>> rows_;
   size_t pos_ = 0;
 };
 

@@ -165,13 +165,9 @@ Result<std::unique_ptr<Session>> StorageDataSource::CreateSession() {
 Result<std::unique_ptr<Rowset>> StorageSession::OpenRowset(
     const std::string& table) {
   DHQP_ASSIGN_OR_RETURN(Table * t, engine_->GetTable(table));
-  std::vector<std::pair<int64_t, Row>> live;
-  t->ScanLive(&live);
-  std::vector<Row> rows;
-  rows.reserve(live.size());
-  for (auto& [id, row] : live) rows.push_back(std::move(row));
+  // A positional cursor over the table's shared snapshot: no per-open copy.
   return std::unique_ptr<Rowset>(
-      new VectorRowset(t->schema(), std::move(rows)));
+      new VectorRowset(t->schema(), t->LiveSnapshot()));
 }
 
 Result<std::vector<TableMetadata>> StorageSession::ListTables() {

@@ -116,6 +116,7 @@ Result<int64_t> Table::Insert(const Row& row) {
   rows_.push_back(std::move(normalized));
   deleted_.push_back(false);
   ++live_count_;
+  DropSnapshot();
   return row_id;
 }
 
@@ -131,6 +132,7 @@ Status Table::Delete(int64_t row_id) {
   }
   deleted_[static_cast<size_t>(row_id)] = true;
   --live_count_;
+  DropSnapshot();
   return Status::OK();
 }
 
@@ -147,6 +149,24 @@ void Table::ScanLive(std::vector<std::pair<int64_t, Row>>* out) const {
   for (size_t id = 0; id < rows_.size(); ++id) {
     if (!deleted_[id]) out->emplace_back(static_cast<int64_t>(id), rows_[id]);
   }
+}
+
+std::shared_ptr<const std::vector<Row>> Table::LiveSnapshot() const {
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  if (snapshot_ == nullptr) {
+    auto rows = std::make_shared<std::vector<Row>>();
+    rows->reserve(live_count_);
+    for (size_t id = 0; id < rows_.size(); ++id) {
+      if (!deleted_[id]) rows->push_back(rows_[id]);
+    }
+    snapshot_ = std::move(rows);
+  }
+  return snapshot_;
+}
+
+void Table::DropSnapshot() {
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  snapshot_.reset();
 }
 
 TableMetadata Table::Metadata() const {

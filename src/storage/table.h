@@ -2,6 +2,7 @@
 #define DHQP_STORAGE_TABLE_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,13 @@ class Table {
   /// Appends all live rows (with their ids) to `out`.
   void ScanLive(std::vector<std::pair<int64_t, Row>>* out) const;
 
+  /// The live rows in row-id order as one immutable, shared snapshot — what
+  /// table scans read. Built on the first call after DML and shared by
+  /// every caller until the next Insert/Delete drops it, so concurrent
+  /// opens (the workers of a parallel scan) copy the table once, not once
+  /// each. A holder keeps the rows as of its call.
+  std::shared_ptr<const std::vector<Row>> LiveSnapshot() const;
+
   /// Provider-facing description: schema + cardinality + index metadata.
   TableMetadata Metadata() const;
 
@@ -80,6 +88,9 @@ class Table {
   /// `normalized` with the insert-ready row.
   Status ValidateRow(const Row& row, Row* normalized) const;
 
+  /// Called by DML: the next LiveSnapshot rebuilds.
+  void DropSnapshot();
+
   std::string name_;
   Schema schema_;
   std::vector<Row> rows_;
@@ -87,6 +98,8 @@ class Table {
   size_t live_count_ = 0;
   std::vector<CheckConstraint> checks_;
   std::vector<std::unique_ptr<TableIndex>> indexes_;
+  mutable std::mutex snapshot_mu_;  ///< Guards snapshot_ (concurrent opens).
+  mutable std::shared_ptr<const std::vector<Row>> snapshot_;
 };
 
 }  // namespace dhqp

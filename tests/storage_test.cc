@@ -143,6 +143,93 @@ TEST(StorageSessionTest, ProviderSurface) {
   EXPECT_FALSE(session.CreateCommand().ok());
 }
 
+// Table scans read a shared, immutable snapshot of the live rows: a rowset
+// keeps the rows as of its open, DML is visible to the next open, and the
+// cursor keeps the positional surface (Restart, SkipRows, batch slices).
+class SnapshotRowsetTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(engine_.CreateTable("t", TwoCol()).ok());
+    table_ = engine_.GetTable("t").value();
+    for (int i = 0; i < 10; ++i) {
+      ids_.push_back(table_->Insert({Value::Int64(i), Value::Null()}).value());
+    }
+  }
+
+  std::unique_ptr<Rowset> Open() {
+    auto rowset = session_.OpenRowset("t");
+    EXPECT_TRUE(rowset.ok());
+    return std::move(rowset).value();
+  }
+
+  static std::vector<int64_t> Ids(Rowset* rowset) {
+    auto rows = DrainRowset(rowset);
+    EXPECT_TRUE(rows.ok());
+    std::vector<int64_t> out;
+    for (const Row& row : rows.value()) out.push_back(row[0].int64_value());
+    return out;
+  }
+
+  StorageEngine engine_;
+  StorageSession session_{&engine_};
+  Table* table_ = nullptr;
+  std::vector<int64_t> ids_;
+};
+
+TEST_F(SnapshotRowsetTest, RowsetOpenedBeforeInsertKeepsItsRows) {
+  auto before = Open();
+  ASSERT_TRUE(table_->Insert({Value::Int64(10), Value::Null()}).ok());
+  auto after = Open();
+  EXPECT_EQ(Ids(before.get()).size(), 10u);
+  std::vector<int64_t> seen = Ids(after.get());
+  ASSERT_EQ(seen.size(), 11u);
+  EXPECT_EQ(seen.back(), 10);
+}
+
+TEST_F(SnapshotRowsetTest, RowsetOpenedBeforeDeleteKeepsItsRows) {
+  auto before = Open();
+  ASSERT_TRUE(table_->Delete(ids_[3]).ok());
+  auto after = Open();
+  std::vector<int64_t> old_rows = Ids(before.get());
+  ASSERT_EQ(old_rows.size(), 10u);
+  EXPECT_EQ(old_rows[3], 3);
+  std::vector<int64_t> new_rows = Ids(after.get());
+  EXPECT_EQ(new_rows, (std::vector<int64_t>{0, 1, 2, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST_F(SnapshotRowsetTest, OpensBetweenDmlShareOneSnapshot) {
+  auto first = table_->LiveSnapshot();
+  EXPECT_EQ(table_->LiveSnapshot(), first);
+  ASSERT_TRUE(table_->Delete(ids_[0]).ok());
+  auto second = table_->LiveSnapshot();
+  EXPECT_NE(second, first);
+  EXPECT_EQ(first->size(), 10u);
+  EXPECT_EQ(second->size(), 9u);
+}
+
+TEST_F(SnapshotRowsetTest, RestartSkipAndBatchMatchVectorRowset) {
+  std::vector<Row> copy;
+  for (int i = 0; i < 10; ++i) copy.push_back({Value::Int64(i), Value::Null()});
+  VectorRowset reference(TwoCol(), copy);
+  auto snapshot = Open();
+  for (Rowset* rowset : {static_cast<Rowset*>(&reference), snapshot.get()}) {
+    SCOPED_TRACE(rowset == &reference ? "VectorRowset" : "snapshot");
+    EXPECT_EQ(rowset->SkipRows(3).value(), 3);
+    RowBatch batch;
+    ASSERT_TRUE(rowset->NextBatch(&batch, 4).value());
+    ASSERT_EQ(batch.size(), 4u);
+    EXPECT_EQ(batch.rows[0][0].int64_value(), 3);
+    EXPECT_EQ(batch.rows[3][0].int64_value(), 6);
+    EXPECT_EQ(rowset->SkipRows(100).value(), 3);  // Clamped at the end.
+    EXPECT_FALSE(rowset->NextBatch(&batch, 4).value());
+    ASSERT_TRUE(rowset->Restart().ok());
+    Row row;
+    ASSERT_TRUE(rowset->Next(&row).value());
+    EXPECT_EQ(row[0].int64_value(), 0);
+    EXPECT_EQ(Ids(rowset).size(), 9u);
+  }
+}
+
 TEST(StorageSessionTest, NotFoundErrors) {
   StorageEngine engine;
   StorageSession session(&engine);
